@@ -20,7 +20,6 @@ from sp4mono import (
     invariance_system,
     invariant_form,
     levelt_triple,
-    solve_nullspace,
 )
 from sp4mono.cyclotomic import ExponentVector
 
@@ -30,7 +29,7 @@ triple = levelt_triple(from_exponents(alpha), from_exponents(beta))
 
 system = invariance_system(triple)
 print("invariance system: %d equations in 6 unknowns" % system.nrows)
-print("kernel dimension:", len(solve_nullspace(system)))
+print("kernel dimension:", len(system.nullspace()))
 
 form = invariant_form(triple)
 print("\nnormalized invariant form (integer entries, gcd 1):")

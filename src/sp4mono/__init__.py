@@ -33,15 +33,7 @@ from .cyclotomic import (
     negate_variable,
 )
 from .forms import FormError, SymplecticForm, check_symplectic, invariance_system, invariant_form
-from .linalg import (
-    MatrixQ,
-    SingularMatrixError,
-    VectorQ,
-    mat_inverse,
-    mat_mul,
-    proportionality,
-    solve_nullspace,
-)
+from .linalg import MatrixQ, SingularMatrixError, VectorQ, proportionality
 from .monodromy import (
     GroupWord,
     MonodromyTriple,
@@ -114,13 +106,10 @@ __all__ = [
     "is_primitive_pair",
     "levelt_triple",
     "load_certificate",
-    "mat_inverse",
-    "mat_mul",
     "negate_variable",
     "parse_word",
     "proportionality",
     "row",
-    "solve_nullspace",
     "to_basis_coords",
     "validate_tables",
     "verify_basis",

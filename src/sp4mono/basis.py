@@ -81,10 +81,9 @@ def verify_basis(form: SymplecticForm, basis) -> tuple[Fraction, Fraction]:
     if MatrixQ.from_columns(vectors).det() == 0:
         raise GramError("basis vectors are linearly dependent")
     g = gram_matrix(form, vectors)
-    n = 4
-    for i in range(n):
-        for j in range(n):
-            if i + j != n - 1 and g[i, j] != 0:
+    for i in range(4):
+        for j in range(4):
+            if i + j != 3 and g[i, j] != 0:
                 raise GramError(
                     "Gram matrix is not anti-diagonal: entry (%d, %d) = %s"
                     % (i + 1, j + 1, g[i, j])
@@ -112,13 +111,12 @@ def build_basis(form: SymplecticForm, seed: VectorQ) -> SymplecticBasis:
     usable projections in index order.  The output always passes
     ``verify_basis``.
     """
-    n = form.dimension
     if seed.is_zero():
         raise ValueError("seed vector must be nonzero")
     eps2 = seed
     eps2_star = None
-    for i in range(n):
-        e = VectorQ.unit(n, i)
+    for i in range(4):
+        e = VectorQ.unit(4, i)
         if form.pair(eps2, e) != 0:
             eps2_star = e
             break
@@ -132,16 +130,16 @@ def build_basis(form: SymplecticForm, seed: VectorQ) -> SymplecticBasis:
         return out + eps2.scale(as_fraction(form.pair(eps2_star, out)) / c)
 
     eps1 = None
-    for i in range(n):
-        candidate = project(VectorQ.unit(n, i))
+    for i in range(4):
+        candidate = project(VectorQ.unit(4, i))
         if not candidate.is_zero():
             eps1 = candidate
             break
     if eps1 is None:
         raise ValueError("projection collapsed; form must be degenerate")
     eps1_star = None
-    for i in range(n):
-        candidate = project(VectorQ.unit(n, i))
+    for i in range(4):
+        candidate = project(VectorQ.unit(4, i))
         if form.pair(eps1, candidate) != 0:
             eps1_star = candidate
             break

@@ -33,7 +33,7 @@ from typing import Iterator, Mapping
 from .basis import checked_basis
 from .cyclotomic import ExponentVector, from_exponents
 from .forms import PUBLISHED_SCALING, SymplecticForm, check_symplectic, invariant_form
-from .linalg import MatrixQ, proportionality
+from .linalg import MatrixQ, VectorQ, proportionality
 from .monodromy import levelt_triple
 from .roots import RootCoverage, RootLabel, classify_unipotent, coverage, is_in_U
 
@@ -169,6 +169,10 @@ class Certificate:
                 raise CertificateError("expected matrix for undefined name %r" % name)
             if not m.is_integral():
                 raise CertificateError("expected matrix for %r is not integral" % name)
+            if (m.nrows, m.ncols) != (4, 4):
+                raise CertificateError("expected matrix for %r is not 4x4" % name)
+        if self.omega is not None and (self.omega.nrows, self.omega.ncols) != (4, 4):
+            raise CertificateError("stored form is not 4x4")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -191,13 +195,13 @@ class Certificate:
 
 
 def certificate_from_json_dict(data: dict) -> Certificate:
-    from .linalg import VectorQ
-
     try:
         alpha = ExponentVector.from_strings(data["alpha"])
         beta = ExponentVector.from_strings(data["beta"])
         basis_vectors = tuple(VectorQ.from_strings(v) for v in data["basis"])
         definitions = tuple((d["name"], d["expr"]) for d in data["definitions"])
+        if not all(isinstance(text, str) for d in definitions for text in d):
+            raise CertificateError("definition names and expressions must be strings")
         expected = {
             name: MatrixQ(rows) for name, rows in data.get("expected", {}).items()
         }
@@ -207,7 +211,11 @@ def certificate_from_json_dict(data: dict) -> Certificate:
         omega = MatrixQ.from_strings(data["omega"]) if "omega" in data else None
         gram = None
         if "gram" in data:
-            gram = (Fraction(data["gram"][0]), Fraction(data["gram"][1]))
+            c1, c2 = map(Fraction, data["gram"])
+            gram = (c1, c2)
+        sv_example = data.get("sv_example")
+        if sv_example is not None and type(sv_example) is not int:
+            raise CertificateError("sv_example must be an integer")
         return Certificate(
             example_id=str(data["example_id"]),
             alpha=alpha,
@@ -219,11 +227,11 @@ def certificate_from_json_dict(data: dict) -> Certificate:
             witnesses=witnesses,
             omega=omega,
             gram=gram,
-            sv_example=data.get("sv_example"),
+            sv_example=sv_example,
         )
     except CertificateError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError, OverflowError) as exc:
         raise CertificateError("malformed certificate: %s" % exc) from exc
 
 
@@ -355,8 +363,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     form, each definition is evaluated exactly and compared to its
     published matrix, every defined element is checked to be symplectic,
     and the witnesses are classified into root groups (in the reversed
-    basis when the certificate says so).  A mismatch makes the report
-    fail; it never raises.
+    basis when the certificate says so).  A mismatch in the data makes the
+    report fail, and so does a pair, form or basis that cannot be built.
+
+    Raises CertificateError when a definition is malformed or names a
+    definition that comes after it; the command line reports that as
+    invalid input (exit 2).  A stored form or expected matrix that is not
+    4x4 never gets here: building the Certificate rejects it.
     """
     failures: list[str] = []
 

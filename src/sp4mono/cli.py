@@ -15,8 +15,9 @@ built-in certificates from an alternate directory (default: packaged data;
 the SP4MONO_DATA environment variable supplies a default for --data).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 search exhausted.  A batch exits with its worst outcome, where
-2 (invalid input) > 1 (verification failure) > 3 (exhausted) > 0.
+3 search exhausted.  A batch of certificates exits 1 if any fails.  Every
+invalid input exits 2 with a one-line diagnosis on stderr, from the single
+handler in ``main``; pairs must have degree 4.
 """
 
 from __future__ import annotations
@@ -31,37 +32,19 @@ from . import certificates as cert_mod
 from . import tables as tables_mod
 from .basis import build_basis, checked_basis
 from .cyclotomic import ExponentVector, IntPolynomial, from_exponents
-from .forms import invariant_form
+from .forms import PUBLISHED_SCALING, SymplecticForm, invariant_form
 from .linalg import MatrixQ
-from .monodromy import PairError, levelt_triple
-from .search import STATUS_EXHAUSTED, STATUS_FOUND, derive_witnesses, find_gamma
+from .monodromy import levelt_triple
+from .search import STATUS_EXHAUSTED, STATUS_FOUND, derive_witnesses, find_gamma, gcd_obstruction
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_SEARCH_EXHAUSTED = 3
 
-# Worst-outcome ordering for batches.
-_SEVERITY = {EXIT_OK: 0, EXIT_SEARCH_EXHAUSTED: 1, EXIT_VERIFICATION_FAILURE: 2, EXIT_INVALID_INPUT: 3}
 
-# Row numbering used by the source 51-row list, known for the rows that
-# carry built-in certificates; accepted via --sv.
-SV_TO_ROW = {33: (3, 1), 27: (3, 2), 28: (3, 3), 29: (3, 4), 30: (3, 5), 31: (3, 6), 36: (3, 7), 39: (3, 8)}
-
-
-def _worst(codes) -> int:
-    worst = EXIT_OK
-    for code in codes:
-        if _SEVERITY[code] > _SEVERITY[worst]:
-            worst = code
-    return worst
-
-
-def _emit(payload, as_json: bool, human) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=1))
-    else:
-        human()
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=1))
 
 
 def _diag(message: str) -> None:
@@ -92,16 +75,14 @@ def _load_builtins(args):
 
 
 # -- subcommand implementations -------------------------------------------
+#
+# Each raises on invalid input and leaves the diagnosis to ``main``.
 
 def _cmd_tables_validate(args) -> int:
-    try:
-        rows = _load_rows(args)
-    except (OSError, ValueError, KeyError) as exc:
-        _diag("cannot load dataset: %s" % exc)
-        return EXIT_INVALID_INPUT
-    report = tables_mod.validate_tables(rows)
-
-    def human():
+    report = tables_mod.validate_tables(_load_rows(args))
+    if args.json:
+        _print_json(report.to_json_dict())
+    else:
         print("rows: %d" % report.row_count)
         for table_id in sorted(report.counts_by_table):
             print("table %d: %d rows" % (table_id, report.counts_by_table[table_id]))
@@ -113,19 +94,11 @@ def _cmd_tables_validate(args) -> int:
             print("violations: %d" % len(report.violations))
             for v in report.violations:
                 print("  " + str(v))
-
-    _emit(report.to_json_dict(), args.json, human)
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILURE
 
 
 def _cmd_tables_export(args) -> int:
-    try:
-        rows = _load_rows(args)
-    except (OSError, ValueError, KeyError) as exc:
-        _diag("cannot load dataset: %s" % exc)
-        return EXIT_INVALID_INPUT
-    payload = {"rows": [r.to_json_dict() for r in rows]}
-    print(json.dumps(payload, indent=1))
+    _print_json({"rows": [r.to_json_dict() for r in _load_rows(args)]})
     return EXIT_OK
 
 
@@ -157,40 +130,21 @@ def _report_human(report) -> None:
 
 
 def _cmd_cert_verify(args) -> int:
-    targets = []
     if args.file:
-        try:
-            targets.append(cert_mod.load_certificate(args.file))
-        except cert_mod.CertificateError as exc:
-            _diag(str(exc))
-            return EXIT_INVALID_INPUT
+        targets = [cert_mod.load_certificate(args.file)]
     else:
-        try:
-            builtins = _load_builtins(args)
-        except (OSError, cert_mod.CertificateError) as exc:
-            _diag("cannot load built-in certificates: %s" % exc)
-            return EXIT_INVALID_INPUT
-        if args.all:
-            targets = builtins
-        else:
-            if not 1 <= args.example <= len(builtins):
-                _diag("--example must be between 1 and %d" % len(builtins))
-                return EXIT_INVALID_INPUT
-            targets = [builtins[args.example - 1]]
-
-    codes = []
-    reports = []
-    for cert in targets:
-        report = cert_mod.verify_certificate(cert)
-        reports.append(report)
-        codes.append(EXIT_OK if report.arithmetic_certified else EXIT_VERIFICATION_FAILURE)
-
-    def human():
+        targets = _load_builtins(args)
+        if not args.all:
+            if not 1 <= args.example <= len(targets):
+                raise ValueError("--example must be between 1 and %d" % len(targets))
+            targets = [targets[args.example - 1]]
+    reports = [cert_mod.verify_certificate(cert) for cert in targets]
+    if args.json:
+        _print_json([r.to_json_dict() for r in reports])
+    else:
         for report in reports:
             _report_human(report)
-
-    _emit([r.to_json_dict() for r in reports], args.json, human)
-    return _worst(codes)
+    return EXIT_OK if all(r.arithmetic_certified for r in reports) else EXIT_VERIFICATION_FAILURE
 
 
 def _pair_from_args(args) -> tuple:
@@ -210,25 +164,22 @@ def _pair_from_args(args) -> tuple:
 
 
 def _cmd_form(args) -> int:
-    try:
-        f, g = _pair_from_args(args)
-        triple = levelt_triple(f, g)
-        form = invariant_form(triple)
-        basis = build_basis(form, triple.v)
-    except (ValueError, PairError) as exc:
-        _diag("invalid pair: %s" % exc)
-        return EXIT_INVALID_INPUT
-
-    payload = {
-        "f": f.to_list(),
-        "g": g.to_list(),
-        "v": triple.v.to_strings(),
-        "form": form.to_json_dict(),
-        "basis": basis.to_json_dict(),
-        "gram": [str(basis.gram_c1), str(basis.gram_c2)],
-    }
-
-    def human():
+    f, g = _pair_from_args(args)
+    triple = levelt_triple(f, g)
+    form = invariant_form(triple)
+    basis = build_basis(form, triple.v)
+    if args.json:
+        _print_json(
+            {
+                "f": f.to_list(),
+                "g": g.to_list(),
+                "v": triple.v.to_strings(),
+                "form": form.to_json_dict(),
+                "basis": basis.to_json_dict(),
+                "gram": [str(basis.gram_c1), str(basis.gram_c2)],
+            }
+        )
+    else:
         print("f = %s" % f)
         print("g = %s" % g)
         print("v = (%s)" % ", ".join(triple.v.to_strings()))
@@ -238,33 +189,27 @@ def _cmd_form(args) -> int:
         for v in basis.vectors:
             print("  (%s)" % ", ".join(v.to_strings()))
         print("Gram constants: (%s, %s)" % (basis.gram_c1, basis.gram_c2))
-
-    _emit(payload, args.json, human)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
+    builtins = None
     if args.sv is not None:
-        if args.sv not in SV_TO_ROW:
-            _diag("--sv %d has no known table:row correspondence" % args.sv)
-            return EXIT_INVALID_INPUT
-        table_id, row_no = SV_TO_ROW[args.sv]
+        # --sv numbers rows as the source 51-row list does; the built-in
+        # certificates record that number for their rows.
+        builtins = _load_builtins(args)
+        row_by_sv = {cert.sv_example: cert.example_id for cert in builtins}
+        if args.sv not in row_by_sv:
+            raise ValueError("--sv %d has no known table:row correspondence" % args.sv)
+        table_id, row_no = _parse_row_spec(row_by_sv[args.sv])
+    elif args.row:
+        table_id, row_no = _parse_row_spec(args.row)
     else:
-        if not args.row:
-            _diag("give --row table:row or --sv N")
-            return EXIT_INVALID_INPUT
-        try:
-            table_id, row_no = _parse_row_spec(args.row)
-        except ValueError as exc:
-            _diag(str(exc))
-            return EXIT_INVALID_INPUT
-    try:
-        rows = _load_rows(args)
-        row = tables_mod.row(table_id, row_no, rows)
-    except (OSError, ValueError, KeyError) as exc:
-        _diag("cannot resolve row: %s" % exc)
-        return EXIT_INVALID_INPUT
-
+        raise ValueError("give --row table:row or --sv N")
+    if args.budget < 0:
+        raise ValueError("--budget must be >= 0")
+    key = "%d:%d" % (table_id, row_no)
+    row = tables_mod.row(table_id, row_no, _load_rows(args))
     triple = levelt_triple(row.f, row.g)
     # Progress goes to stderr: JSON events in --json mode, text otherwise.
     if args.json:
@@ -273,32 +218,29 @@ def _cmd_search(args) -> int:
         progress = lambda event: _diag("search: length %(length)d, explored %(explored)d" % event)  # noqa: E731
     result = find_gamma(triple, args.max_len, args.max_exp, progress=progress)
 
-    payload = {"row": "%d:%d" % (table_id, row_no), "gamma": result.to_json_dict(), "coverage": None}
     cov = None
     if result.status == STATUS_FOUND:
         # Rows shipping a certificate carry a published basis; the recipe
         # templates are tuned to that frame, so prefer it when available.
-        cert = None
-        try:
-            for candidate in _load_builtins(args):
-                if candidate.example_id == "%d:%d" % (table_id, row_no):
-                    cert = candidate
-                    break
-        except (OSError, cert_mod.CertificateError):
-            cert = None
+        cert = next((c for c in (builtins or _load_builtins(args)) if c.example_id == key), None)
         if cert is not None and cert.omega is not None:
-            from .forms import PUBLISHED_SCALING, SymplecticForm
-
             form = SymplecticForm(cert.omega, PUBLISHED_SCALING)
             basis = checked_basis(form, cert.basis_vectors)
         else:
             form = invariant_form(triple)
             basis = build_basis(form, triple.v)
         cov = derive_witnesses(triple, form, basis, result.gamma, args.budget)
-        payload["coverage"] = cov.to_json_dict()
 
-    def human():
-        print("row %d:%d" % (table_id, row_no))
+    if args.json:
+        _print_json(
+            {
+                "row": key,
+                "gamma": result.to_json_dict(),
+                "coverage": None if cov is None else cov.to_json_dict(),
+            }
+        )
+    else:
+        print("row %s" % key)
         print("gamma search: %s" % result.status)
         if result.status == STATUS_FOUND:
             print("  gamma = %s with e4 coefficient %d" % (result.gamma, result.e4_coeff))
@@ -308,28 +250,21 @@ def _cmd_search(args) -> int:
             print("  explored %d words without a hit" % result.explored)
         else:
             print("  obstructed: gcd of v entries is %d" % result.obstruction_gcd)
-
-    _emit(payload, args.json, human)
     if result.status == STATUS_EXHAUSTED:
         return EXIT_SEARCH_EXHAUSTED
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    try:
-        rows = _load_rows(args)
-        builtins = _load_builtins(args)
-    except (OSError, ValueError, KeyError, cert_mod.CertificateError) as exc:
-        _diag("cannot load data: %s" % exc)
-        return EXIT_INVALID_INPUT
+    rows = _load_rows(args)
+    builtins = _load_builtins(args)
     tables_report = tables_mod.validate_tables(rows)
     cert_reports = [cert_mod.verify_certificate(c) for c in builtins]
     cert_by_row = {c.example_id: r for c, r in zip(builtins, cert_reports)}
+    certified = sum(1 for r in cert_reports if r.arithmetic_certified)
 
     entries = []
     for row in rows:
-        from .search import gcd_obstruction
-
         triple = levelt_triple(row.f, row.g)
         key = "%d:%d" % (row.table_id, row.row_no)
         cert_report = cert_by_row.get(key)
@@ -343,27 +278,18 @@ def _cmd_report(args) -> int:
                 "certificate": None if cert_report is None else cert_report.arithmetic_certified,
             }
         )
-    payload = {
-        "tables_ok": tables_report.ok,
-        "certificates_certified": sum(1 for r in cert_reports if r.arithmetic_certified),
-        "rows": entries,
-    }
-
-    def human():
+    if args.json:
+        _print_json({"tables_ok": tables_report.ok, "certificates_certified": certified, "rows": entries})
+    else:
         print("dataset: %d rows, validation %s" % (len(rows), "ok" if tables_report.ok else "FAILED"))
-        print(
-            "built-in certificates: %d/%d certified"
-            % (payload["certificates_certified"], len(cert_reports))
-        )
+        print("built-in certificates: %d/%d certified" % (certified, len(cert_reports)))
         for e in entries:
             cert_note = "-" if e["certificate"] is None else ("certified" if e["certificate"] else "FAILED")
             print(
                 "  %-5s %-18s lead %3d  vgcd %d  partner %-5s  certificate %s"
                 % (e["row"], e["status"], e["lead"], e["vgcd"], e["partner"], cert_note)
             )
-
-    _emit(payload, args.json, human)
-    ok = tables_report.ok and all(r.arithmetic_certified for r in cert_reports)
+    ok = tables_report.ok and certified == len(cert_reports)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
 
 
@@ -392,8 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tables_p = sub.add_parser("tables", parents=[common], help="dataset operations")
     tables_sub = tables_p.add_subparsers(dest="subcommand", required=True)
-    tables_sub.add_parser("validate", parents=[common]).set_defaults(func=_cmd_tables_validate)
-    tables_sub.add_parser("export", parents=[common]).set_defaults(func=_cmd_tables_export)
+    tables_sub.add_parser("validate", parents=[common]).set_defaults(
+        func=_cmd_tables_validate, label="cannot load dataset"
+    )
+    tables_sub.add_parser("export", parents=[common]).set_defaults(
+        func=_cmd_tables_export, label="cannot load dataset"
+    )
 
     cert_p = sub.add_parser("cert", parents=[common], help="certificate operations")
     cert_sub = cert_p.add_subparsers(dest="subcommand", required=True)
@@ -402,14 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--example", type=int, metavar="N", help="built-in certificate number (1-8)")
     group.add_argument("--all", action="store_true", help="verify all built-in certificates")
     group.add_argument("--file", metavar="PATH", help="verify a certificate JSON file")
-    verify_p.set_defaults(func=_cmd_cert_verify)
+    verify_p.set_defaults(func=_cmd_cert_verify, label="cannot verify certificate")
 
     form_p = sub.add_parser("form", parents=[common], help="invariant form of a pair")
     form_p.add_argument("--alpha", metavar="A1,A2,A3,A4", help="exponent vector for f")
     form_p.add_argument("--beta", metavar="B1,B2,B3,B4", help="exponent vector for g")
     form_p.add_argument("--f", metavar="C0,...,C4", help="ascending coefficients of f")
     form_p.add_argument("--g", metavar="C0,...,C4", help="ascending coefficients of g")
-    form_p.set_defaults(func=_cmd_form)
+    form_p.set_defaults(func=_cmd_form, label="invalid pair")
 
     search_p = sub.add_parser("search", parents=[common], help="gamma search for a table row")
     search_p.add_argument("--row", metavar="T:N", help="table:row, e.g. 3:2")
@@ -417,19 +347,26 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--max-len", type=int, default=2, help="maximum word length (default 2)")
     search_p.add_argument("--max-exp", type=int, default=8, help="maximum |exponent| (default 8)")
     search_p.add_argument("--budget", type=int, default=30, help="template parameter bound (default 30)")
-    search_p.set_defaults(func=_cmd_search)
+    search_p.set_defaults(func=_cmd_search, label="cannot run search")
 
     report_p = sub.add_parser("report", parents=[common], help="summary across all rows")
-    report_p.set_defaults(func=_cmd_report)
+    report_p.set_defaults(func=_cmd_report, label="cannot build report")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.json = getattr(args, "json", False)
     args.data = getattr(args, "data", None) or os.environ.get("SP4MONO_DATA")
-    return args.func(args)
+    # The package's one input-error boundary.  ValueError (which every
+    # package error class derives from), KeyError from a row lookup and
+    # OSError from --data or --file mean invalid input: one stderr line,
+    # exit 2.  Any other exception is a bug and propagates.
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:
+        _diag("%s: %s" % (args.label, " ".join(str(exc).split())))
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

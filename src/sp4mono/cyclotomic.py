@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from .linalg import parse_fraction
+
 
 class GaloisOrbitError(ValueError):
     """Exponent multiset is not a union of complete Galois orbits."""
@@ -200,7 +202,7 @@ class ExponentVector:
 
     @classmethod
     def from_strings(cls, items: Iterable) -> "ExponentVector":
-        return cls(Fraction(str(x)) for x in items)
+        return cls(parse_fraction(str(x)) for x in items)
 
 
 def from_exponents(exponents: ExponentVector) -> IntPolynomial:
@@ -216,8 +218,10 @@ def from_exponents(exponents: ExponentVector) -> IntPolynomial:
     result = IntPolynomial((1,))
     for q in sorted(by_q):
         counts = by_q[q]
-        units = [p for p in range(q) if math.gcd(p, q) == 1] or [0]
-        multiplicities = {counts.get(p, 0) for p in units}
+        # phi(q) >= sqrt(q/2): beyond 2 * len(counts)^2 these residues
+        # cannot fill the orbit, so the units mod q are not scanned at all.
+        residues = range(q) if q <= 2 * len(counts) ** 2 else ()
+        multiplicities = {counts.get(p, 0) for p in residues if math.gcd(p, q) == 1}
         if len(multiplicities) != 1 or 0 in multiplicities:
             raise GaloisOrbitError(
                 "exponents with denominator %d do not fill the orbit {p/%d : gcd(p, %d) = 1}"

@@ -44,10 +44,6 @@ class SymplecticForm:
         if self.omega.det() == 0:
             raise FormError("form matrix is degenerate")
 
-    @property
-    def dimension(self) -> int:
-        return self.omega.nrows
-
     def pair(self, u: VectorQ, v: VectorQ):
         """Omega(u, v) = u . (omega v)."""
         return u.dot(self.omega.apply(v))
@@ -62,15 +58,14 @@ class SymplecticForm:
 
 _ANTISYM_POSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-
-def _antisym_basis(n: int) -> list[MatrixQ]:
-    out = []
-    for i, j in _ANTISYM_POSITIONS:
-        rows = [[0] * n for _ in range(n)]
-        rows[i][j] = 1
-        rows[j][i] = -1
-        out.append(MatrixQ(rows))
-    return out
+# E_ij - E_ji for each upper-triangle position: a basis of the
+# antisymmetric 4x4 matrices, in the order of the unknowns.
+_ANTISYM_BASIS = tuple(
+    MatrixQ(
+        [[1 if (r, c) == (i, j) else -1 if (r, c) == (j, i) else 0 for c in range(4)] for r in range(4)]
+    )
+    for i, j in _ANTISYM_POSITIONS
+)
 
 
 def invariance_system(triple: MonodromyTriple) -> MatrixQ:
@@ -80,11 +75,10 @@ def invariance_system(triple: MonodromyTriple) -> MatrixQ:
     of an antisymmetric matrix X; each generator M contributes the six
     upper-triangle entries of tM X M - X.
     """
-    basis = _antisym_basis(triple.dimension)
     rows = []
     for m in (triple.A, triple.B):
         mt = m.transpose()
-        images = [mt * e * m - e for e in basis]
+        images = [mt * e * m - e for e in _ANTISYM_BASIS]
         for i, j in _ANTISYM_POSITIONS:
             rows.append([img[i, j] for img in images])
     return MatrixQ(rows)
@@ -102,8 +96,7 @@ def invariant_form(triple: MonodromyTriple) -> SymplecticForm:
             "invariance system has a %d-dimensional solution space, expected 1" % len(kernel)
         )
     coords = kernel[0]
-    n = triple.dimension
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[Fraction(0)] * 4 for _ in range(4)]
     for k, (i, j) in enumerate(_ANTISYM_POSITIONS):
         rows[i][j] = as_fraction(coords[k])
         rows[j][i] = -as_fraction(coords[k])

@@ -38,13 +38,16 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def scalar_str(value: Scalar) -> str:
-    """Serialize a scalar as ``p`` or ``p/q`` in lowest terms."""
-    return str(value)
+def parse_fraction(text) -> Fraction:
+    """Read ``p`` or ``p/q``; a zero denominator is a ValueError like any bad literal."""
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("%r is not a finite rational" % (text,)) from None
 
 
 def parse_scalar(text) -> Scalar:
-    return as_scalar(Fraction(text))
+    return as_scalar(parse_fraction(text))
 
 
 class VectorQ:
@@ -71,7 +74,7 @@ class VectorQ:
         return hash(self.entries)
 
     def __repr__(self) -> str:
-        return "VectorQ(%s)" % (", ".join(scalar_str(x) for x in self.entries))
+        return "VectorQ(%s)" % (", ".join(str(x) for x in self.entries))
 
     def __add__(self, other: "VectorQ") -> "VectorQ":
         if len(self) != len(other):
@@ -99,7 +102,7 @@ class VectorQ:
         return all(a == 0 for a in self.entries)
 
     def to_strings(self) -> list[str]:
-        return [scalar_str(x) for x in self.entries]
+        return [str(x) for x in self.entries]
 
     @classmethod
     def from_strings(cls, items: Sequence) -> "VectorQ":
@@ -158,7 +161,7 @@ class MatrixQ:
         return hash(self.rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(scalar_str(x) for x in r) for r in self.rows)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return "MatrixQ[%s]" % body
 
     # -- constructors ----------------------------------------------------
@@ -183,7 +186,7 @@ class MatrixQ:
         return cls([[parse_scalar(x) for x in row] for row in rows])
 
     def to_strings(self) -> list[list[str]]:
-        return [[scalar_str(x) for x in row] for row in self.rows]
+        return [[str(x) for x in row] for row in self.rows]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -368,23 +371,6 @@ class MatrixQ:
                     factor = aug[i][col]
                     aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
         return MatrixQ(row[n:] for row in aug)
-
-
-# Functional aliases for the three operations named throughout the package.
-
-def mat_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Exact matrix product; raises ValueError on a dimension mismatch."""
-    return a * b
-
-
-def mat_inverse(m: MatrixQ) -> MatrixQ:
-    """Exact inverse; raises SingularMatrixError when det(m) = 0."""
-    return m.inverse()
-
-
-def solve_nullspace(m: MatrixQ) -> list[VectorQ]:
-    """Deterministic exact kernel basis (see ``MatrixQ.nullspace``)."""
-    return m.nullspace()
 
 
 def proportionality(a: MatrixQ, b: MatrixQ) -> Fraction | None:

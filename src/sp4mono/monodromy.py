@@ -161,10 +161,6 @@ class MonodromyTriple:
     v: VectorQ
     _powers: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return self.A.nrows
-
     def power(self, gen: str, exp: int) -> MatrixQ:
         """Cached generator power; exponents may be any integer."""
         if gen not in GENERATORS:
@@ -188,12 +184,14 @@ class MonodromyTriple:
 def levelt_triple(f: IntPolynomial, g: IntPolynomial) -> MonodromyTriple:
     """Build the generator triple for a valid hypergeometric pair.
 
-    Raises PairError when the pair fails a precondition: mismatched or
-    non-monic degrees, constant term != 1, equal polynomials, a common
+    This is where every pair enters the package, so it is where the
+    degree-4 limit is checked: everything downstream works in Sp(4).
+    Raises PairError when the pair fails a precondition: a degree other
+    than 4, non-monic, constant term != 1, equal polynomials, a common
     root, or imprimitivity.
     """
-    if f.degree != g.degree:
-        raise PairError("polynomials must share their degree")
+    if f.degree != 4 or g.degree != 4:
+        raise PairError("polynomials must have degree 4, got degrees %d and %d" % (f.degree, g.degree))
     if not (f.is_monic() and g.is_monic()):
         raise PairError("polynomials must be monic")
     if f.constant_term != 1 or g.constant_term != 1:
@@ -207,12 +205,11 @@ def levelt_triple(f: IntPolynomial, g: IntPolynomial) -> MonodromyTriple:
     A = companion(f)
     B = companion(g)
     C = A.inverse() * B
-    n = f.degree
-    v = VectorQ(C[i, n - 1] - (1 if i == n - 1 else 0) for i in range(n))
-    if v[n - 1] != 0:
+    v = VectorQ(C[i, 3] - (1 if i == 3 else 0) for i in range(4))
+    if v[3] != 0:
         raise PairError("last column of C - I has a nonzero bottom entry")
-    for i in range(n):
-        for j in range(n - 1):
+    for i in range(4):
+        for j in range(3):
             if C[i, j] != (1 if i == j else 0):
                 raise PairError("C - I is supported outside the last column")
     return MonodromyTriple(f=f, g=g, A=A, B=B, C=C, v=v)
@@ -220,7 +217,7 @@ def levelt_triple(f: IntPolynomial, g: IntPolynomial) -> MonodromyTriple:
 
 def evaluate_word(triple: MonodromyTriple, word: GroupWord) -> MatrixQ:
     """Exact product of generator powers; the empty word gives the identity."""
-    result = MatrixQ.identity(triple.dimension)
+    result = MatrixQ.identity(4)
     for gen, exp in word.letters:
         result = result * triple.power(gen, exp)
     return result

@@ -33,6 +33,10 @@ STATUS_FOUND = "found"
 STATUS_OBSTRUCTED = "obstructed"
 STATUS_EXHAUSTED = "exhausted"
 
+# Largest word count find_gamma will enumerate: at about 60 us per word this
+# is ten minutes, and it admits the length-5, exponent-8 sweep (2,236,960).
+MAX_WORDS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class GammaResult:
@@ -90,10 +94,20 @@ def find_gamma(
 
     Returns immediately with status "obstructed" when the gcd of v's
     entries is >= 3; otherwise scans ``enumerate_words`` and returns the
-    first hit, or "exhausted" with the number of words explored.
+    first hit, or "exhausted" with the number of words explored.  Raises
+    ValueError, before building anything, when a limit is below 1 or the
+    search would cover more than MAX_WORDS words.
     """
     if max_len < 1 or max_exp < 1:
         raise ValueError("max_len and max_exp must be >= 1")
+    words = 0
+    for length in range(1, max_len + 1):
+        words += 2 * (2 * max_exp) ** length
+        if words > MAX_WORDS:
+            raise ValueError(
+                "max_len %d with max_exp %d covers more than the %d-word search limit"
+                % (max_len, max_exp, MAX_WORDS)
+            )
     obstruction = gcd_obstruction(triple)
     if obstruction >= 3:
         return GammaResult(status=STATUS_OBSTRUCTED, obstruction_gcd=obstruction)

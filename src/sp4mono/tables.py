@@ -105,7 +105,10 @@ def dataset(path: str | Path | None = None) -> list[TableRow]:
     else:
         text = Path(path).read_text(encoding="utf-8")
     data = json.loads(text)
-    return [_row_from_json(item) for item in data["rows"]]
+    try:
+        return [_row_from_json(item) for item in data["rows"]]
+    except (TypeError, IndexError) as exc:
+        raise ValueError("malformed dataset: %s" % exc) from exc
 
 
 def row(table_id: int, row_no: int, rows: Sequence[TableRow] | None = None) -> TableRow:
@@ -190,7 +193,7 @@ def validate_tables(rows: Iterable[TableRow] | None = None) -> TablesReport:
             bad(r, "pair is imprimitive")
         if have_common_root(r.f, r.g):
             bad(r, "f and g share a root")
-        if r.status != STATUS_BY_TABLE[r.table_id]:
+        if r.status != STATUS_BY_TABLE.get(r.table_id):
             bad(r, "status %r does not match table %d" % (r.status, r.table_id))
 
         # Conjugation identity behind the X -> -X pairing.

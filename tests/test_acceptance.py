@@ -48,7 +48,7 @@ def test_criterion_2_invariant_form_reproduction(certs, rows):
         scalars[cert.example_id] = scalar
     for r in rows:
         triple = m.levelt_triple(r.f, r.g)
-        kernel = m.solve_nullspace(m.invariance_system(triple))
+        kernel = m.invariance_system(triple).nullspace()
         assert len(kernel) == 1, r.key
         form = m.invariant_form(triple)
         assert form.omega.det() != 0

@@ -1,5 +1,13 @@
+import contextlib
+import io
 import json
+import shutil
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sp4mono
 from sp4mono.cli import main
 
 
@@ -218,3 +226,163 @@ def test_search_json_progress_on_stderr(capsys):
     assert code == 0
     events = [json.loads(line) for line in err.splitlines() if line.strip()]
     assert any(e.get("event") == "depth" for e in events)
+
+
+# -- the input-error boundary ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """Certificate files and --data directories, each with one defect."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    base = sp4mono.builtin_certificates()[0].to_json_dict()
+    definitions, basis = base["definitions"], base["basis"]
+
+    def write_cert(name, **fields):
+        (root / name).write_text(json.dumps({**base, **fields}))
+
+    write_cert("forward.json", definitions=[{"name": "early", "expr": definitions[0]["name"]}] + definitions)
+    write_cert("zero_basis.json", basis=[["1/0"] + basis[0][1:]] + basis[1:])
+    write_cert("omega_2x2.json", omega=[["0", "1"], ["-1", "0"]])
+    write_cert("huge_power.json", definitions=definitions + [{"name": "huge", "expr": "(A^3 B^-2)^4000"}])
+    write_cert("degree_2.json", alpha=["1/2", "1/2"], beta=["1/3", "2/3"])
+
+    data = root / "data"
+    shutil.copytree(sp4mono.__path__[0] + "/data", data)
+    tables = json.loads((data / "tables.json").read_text())
+    for row in tables["rows"]:
+        if (row["table"], row["row"]) == (1, 1):
+            row["g"], row["beta"] = row["f"], row["alpha"]
+    (data / "tables.json").write_text(json.dumps(tables))
+    (root / "malformed").mkdir()
+    (root / "malformed" / "tables.json").write_text('{"rows": [5]}')
+    return root
+
+
+# (argv, exit code, text expected on stderr for exit 2, else on stdout)
+BOUNDARY_CASES = [
+    ("form --f 1,1,1 --g 1,0,1", 2, "degree 4"),
+    ("form --alpha 1/2,1/2 --beta 1/3,2/3", 2, "degree 4"),
+    ("form --f 1,0,0,0,0,0,1 --g 1,1,1,1,1,1,1", 2, "degree 4"),
+    ("form --alpha 1/0,1/2,1/3,2/3 --beta 1/4,1/4,3/4,3/4", 2, "invalid pair"),
+    ("search --row 4:1 --max-len 0", 2, ">= 1"),
+    ("search --row 4:1 --max-exp 0", 2, ">= 1"),
+    ("search --row 3:2 --budget -1", 2, "--budget"),
+    ("search --row 3:2 --max-len 1 --max-exp 100000000", 2, "search limit"),
+    ("cert verify --file {dir}/forward.json", 2, "unknown name"),
+    ("cert verify --file {dir}/zero_basis.json", 2, "malformed"),
+    ("cert verify --file {dir}/omega_2x2.json", 2, "not 4x4"),
+    ("--json cert verify --file {dir}/huge_power.json", 2, "cannot verify certificate"),
+    ("cert verify --file {dir}/huge_power.json", 0, "example 3:1: certified"),
+    ("cert verify --file {dir}/degree_2.json", 1, "pair construction failed"),
+    ("report --data {dir}/data", 2, "polynomials must be distinct"),
+    ("search --row 1:1 --data {dir}/data", 2, "polynomials must be distinct"),
+    ("tables validate --data {dir}/data", 1, "1:1 "),
+    ("tables validate --data {dir}/malformed", 2, "malformed dataset"),
+]
+
+
+@pytest.mark.parametrize("command, want_code, want_text", BOUNDARY_CASES)
+def test_invalid_input_boundary(capsys, bad_inputs, command, want_code, want_text):
+    code, out, err = run(capsys, *command.format(dir=bad_inputs).split())
+    assert code == want_code
+    assert "Traceback" not in err
+    if want_code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert want_text in err
+    else:
+        assert want_text in out
+
+
+ARGV_POOLS = {
+    ("tables", "validate"): {},
+    ("tables", "export"): {},
+    ("cert", "verify"): {
+        "--example": ["0", "1", "8", "9", "x"],
+        "--all": None,
+        "--file": ["{dir}/degree_2.json", "{dir}/zero_basis.json", "{dir}/missing.json", "{dir}"],
+    },
+    ("form",): {
+        "--alpha": ["1/2,1/2,1/3,2/3", "1/2,1/2", "1/0,1/2,1/3,2/3", "1/3,1/3,1/3,2/3", "x",
+                    "1/1000000007,1000000006/1000000007,1/2,1/2"],
+        "--beta": ["1/4,1/4,3/4,3/4", "1/3,2/3", "0,0,0,0", "1/2,1/2,1/2,1/2"],
+        "--f": ["1,3,4,3,1", "1,1,1", "1,0,0,0,0,0,1", "1,,1", "0", "1,2,3,2,1"],
+        "--g": ["1,0,2,0,1", "1,0,1", "1,1,1,1,1,1,1", "1,3,4,3,1", "2,0,0,0,1"],
+    },
+    ("search",): {
+        "--row": ["3:2", "3:4", "4:1", "1:1", "9:9", "32", "a:b"],
+        "--sv": ["27", "1", "x"],
+    },
+    ("report",): {},
+}
+# Always given, so that no search runs past the millisecond range.
+SEARCH_LIMITS = {
+    "--max-len": ["-1", "0", "1", "2", "1000000000"],
+    "--max-exp": ["-1", "0", "1", "2", "100000000"],
+    "--budget": ["-1", "0", "2"],
+}
+DATA_DIRS = [None, "{dir}/data", "{dir}/malformed", "{dir}/missing", "{dir}/degree_2.json"]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_POOLS)))
+    argv = list(command)
+    for flag, values in ARGV_POOLS[command].items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    if command == ("search",):
+        for flag, values in SEARCH_LIMITS.items():
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    data = draw(st.sampled_from(DATA_DIRS))
+    if data is not None:
+        argv += ["--data", data]
+    return argv
+
+
+BAD_FIELD_VALUES = [None, 0, -1, 1.5, True, "", "x", "1/0", [], {}, ["1/0"], [["0", "1"], ["-1", "0"]],
+                    [[1, 2], [3, 4]], [["1", "2", "3", "4"]] * 4, [{"name": "P", "expr": 5}],
+                    [{"name": "P", "root": "bogus"}], {"P": [[1]]}, 10 ** 400]
+BAD_EXPRESSIONS = ["(", "A^", "A B)", "[A, B", "x", "P Q", "A^-", "", "[A]"]
+
+
+def _exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@FUZZ
+@given(argv=argvs())
+def test_fuzz_argv_exits_0_to_3(bad_inputs, argv):
+    code = _exit_code([arg.format(dir=bad_inputs) for arg in argv])
+    assert code in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(
+    field=st.sampled_from(sorted(sp4mono.builtin_certificates()[0].to_json_dict())),
+    value=st.sampled_from(BAD_FIELD_VALUES),
+    expr=st.sampled_from(BAD_EXPRESSIONS),
+    in_expr=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_fuzz_certificate_json_exits_0_to_3(bad_inputs, field, value, expr, in_expr, as_json):
+    data = sp4mono.builtin_certificates()[0].to_json_dict()
+    if in_expr:
+        data["definitions"][-1]["expr"] = expr
+    else:
+        data[field] = value
+    path = bad_inputs / "fuzzed.json"
+    path.write_text(json.dumps(data))
+    code = _exit_code(["cert", "verify", "--file", str(path)] + (["--json"] if as_json else []))
+    assert code in (0, 1, 2, 3)

@@ -4,15 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from sp4mono import (
-    MatrixQ,
-    SingularMatrixError,
-    VectorQ,
-    mat_inverse,
-    mat_mul,
-    proportionality,
-    solve_nullspace,
-)
+from sp4mono import MatrixQ, SingularMatrixError, VectorQ, proportionality
 from sp4mono.cyclotomic import IntPolynomial
 from sp4mono.forms import invariance_system
 from sp4mono.monodromy import companion, levelt_triple
@@ -29,43 +21,43 @@ def _random_matrix(rng, n, bound=6):
 
 def test_identity_product():
     a = companion(F1)
-    assert mat_mul(MatrixQ.identity(4), a) == a
-    assert mat_mul(a, MatrixQ.identity(4)) == a
+    assert MatrixQ.identity(4) * a == a
+    assert a * MatrixQ.identity(4) == a
 
 
 def test_product_with_inverse_is_identity():
     a = companion(F1)
-    assert mat_mul(a, mat_inverse(a)) == MatrixQ.identity(4)
+    assert a * a.inverse() == MatrixQ.identity(4)
 
 
 def test_a_inverse_b_has_printed_last_column():
     a = companion(F1)
     b = companion(G1)
-    c = mat_mul(mat_inverse(a), b)
+    c = a.inverse() * b
     assert c.last_column() == VectorQ([3, 2, 3, 1])
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        mat_mul(MatrixQ.identity(3), MatrixQ.identity(4))
+        MatrixQ.identity(3) * MatrixQ.identity(4)
 
 
 def test_nullspace_zero_matrix():
-    kernel = solve_nullspace(MatrixQ.zeros(2, 2))
+    kernel = MatrixQ.zeros(2, 2).nullspace()
     assert len(kernel) == 2
     assert kernel[0] == VectorQ([1, 0])
     assert kernel[1] == VectorQ([0, 1])
 
 
 def test_nullspace_identity_empty():
-    assert solve_nullspace(MatrixQ.identity(4)) == []
+    assert MatrixQ.identity(4).nullspace() == []
 
 
 def test_nullspace_of_invariance_system_is_a_line():
     # Independent second solver: sympy nullspace of the same system.
     triple = levelt_triple(F1, G1)
     system = invariance_system(triple)
-    kernel = solve_nullspace(system)
+    kernel = system.nullspace()
     assert len(kernel) == 1
     sym = sympy.Matrix(system.nrows, system.ncols, lambda i, j: sympy.Rational(system[i, j]))
     sym_kernel = sym.nullspace()
@@ -80,20 +72,20 @@ def test_nullspace_of_invariance_system_is_a_line():
 
 
 def test_inverse_identity_and_involution():
-    assert mat_inverse(MatrixQ.identity(4)) == MatrixQ.identity(4)
+    assert MatrixQ.identity(4).inverse() == MatrixQ.identity(4)
     s = MatrixQ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-    assert mat_inverse(s) == s
+    assert s.inverse() == s
 
 
 def test_inverse_roundtrip_on_companion():
     b = companion(G1)
-    assert mat_mul(b, mat_inverse(b)) == MatrixQ.identity(4)
-    assert mat_mul(mat_inverse(b), b) == MatrixQ.identity(4)
+    assert b * b.inverse() == MatrixQ.identity(4)
+    assert b.inverse() * b == MatrixQ.identity(4)
 
 
 def test_singular_matrix_error():
     with pytest.raises(SingularMatrixError):
-        mat_inverse(MatrixQ([[1, 2], [2, 4]]))
+        MatrixQ([[1, 2], [2, 4]]).inverse()
 
 
 def test_associativity_random():
@@ -123,7 +115,7 @@ def test_det_and_fraction_entries():
 
 def test_negative_power_uses_inverse():
     a = companion(F1)
-    assert a ** -3 == mat_inverse(a) ** 3
+    assert a ** -3 == a.inverse() ** 3
     assert a ** 0 == MatrixQ.identity(4)
 
 

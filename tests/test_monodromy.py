@@ -59,6 +59,14 @@ def test_levelt_triple_second_pair_v():
     assert t.C.last_column() == VectorQ([4, 1, 4, 1])
 
 
+def test_levelt_triple_requires_degree_4():
+    degree_2 = (poly(1, 1, 1), poly(1, 0, 1))
+    degree_6 = (poly(1, 0, 0, 0, 0, 0, 1), poly(1, 1, 1, 1, 1, 1, 1))
+    for f, g in (degree_2, degree_6):
+        with pytest.raises(PairError, match="degree 4"):
+            levelt_triple(f, g)
+
+
 def test_levelt_triple_rejects_equal_pair():
     with pytest.raises(PairError):
         levelt_triple(F1, F1)

@@ -17,6 +17,7 @@ from sp4mono import (
     invariant_form,
     parse_word,
 )
+from sp4mono import search as search_mod
 from sp4mono.forms import PUBLISHED_SCALING, SymplecticForm
 from sp4mono.search import STATUS_EXHAUSTED, STATUS_FOUND, STATUS_OBSTRUCTED
 
@@ -115,6 +116,19 @@ def test_find_gamma_exhausted(triple_for):
 def test_find_gamma_rejects_bad_bounds(triple_for):
     with pytest.raises(ValueError):
         find_gamma(triple_for(3, 1), 0, 8)
+
+
+def test_find_gamma_refuses_search_over_word_cap(triple_for, monkeypatch):
+    # The length-5, exponent-8 sweep (2,236,960 words) is under the cap.
+    assert find_gamma(triple_for(3, 2), 5, 8).status == STATUS_FOUND
+
+    def enumerate_nothing(max_len, max_exp):
+        raise AssertionError("enumerated words for a search over the cap")
+
+    monkeypatch.setattr(search_mod, "enumerate_words", enumerate_nothing)
+    for max_len, max_exp in ((1, 10 ** 8), (10 ** 9, 1), (6, 8)):
+        with pytest.raises(ValueError, match="search limit"):
+            find_gamma(triple_for(3, 2), max_len, max_exp)
 
 
 def _published_setup(cert, triple):

@@ -88,6 +88,12 @@ def test_validate_detects_wrong_polynomial(rows):
     assert any("alpha does not reproduce f" in str(v) for v in report.violations)
 
 
+def test_validate_reports_unknown_table(rows):
+    tampered = [dataclasses.replace(r, table_id=7) if r.key == (1, 1) else r for r in rows]
+    report = validate_tables(tampered)
+    assert "7:1 status 'arithmetic-SS-SV' does not match table 7" in map(str, report.violations)
+
+
 def test_sign_flip_conjugation_identity(rows_by_key):
     # Direct check on the first pairing: rows (1,1) and (1,7).
     r = rows_by_key[(1, 1)]
