@@ -265,8 +265,10 @@ def _cmd_report(args) -> int:
 
     entries = []
     for row in rows:
-        triple = levelt_triple(row.f, row.g)
         key = "%d:%d" % (row.table_id, row.row_no)
+        # A rejected pair is diagnosed by main under this label.
+        args.label = "cannot build report: row %s" % key
+        triple = levelt_triple(row.f, row.g)
         cert_report = cert_by_row.get(key)
         entries.append(
             {
@@ -361,11 +363,13 @@ def main(argv=None) -> int:
     # The package's one input-error boundary.  ValueError (which every
     # package error class derives from), KeyError from a row lookup and
     # OSError from --data or --file mean invalid input: one stderr line,
-    # exit 2.  Any other exception is a bug and propagates.
+    # exit 2.  Any other exception is a bug and propagates.  str() of a
+    # KeyError quotes its message, so that is printed from args[0].
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        _diag("%s: %s" % (args.label, " ".join(str(exc).split())))
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        _diag("%s: %s" % (args.label, " ".join(str(message).split())))
         return EXIT_INVALID_INPUT
 
 

@@ -16,7 +16,7 @@ A^-1 B so printed word recipes can be pasted in verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .cyclotomic import (
@@ -149,8 +149,7 @@ class MonodromyTriple:
 
     C - I is nonzero only in the last column; v is that column with its
     last entry (always 0 here, since f and g share constant term 1)
-    included.  The power cache is shared by word evaluation and does not
-    take part in equality.
+    included.
     """
 
     f: IntPolynomial
@@ -159,26 +158,12 @@ class MonodromyTriple:
     B: MatrixQ
     C: MatrixQ
     v: VectorQ
-    _powers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def power(self, gen: str, exp: int) -> MatrixQ:
-        """Cached generator power; exponents may be any integer."""
+        """Generator power; a negative exponent raises the inverse."""
         if gen not in GENERATORS:
             raise ValueError("unknown generator %r" % (gen,))
-        key = (gen, exp)
-        cached = self._powers.get(key)
-        if cached is None:
-            base = self.A if gen == "A" else self.B
-            if exp >= 0:
-                cached = base ** exp
-            else:
-                inv = self.power(gen, -1) if exp < -1 else None
-                if exp == -1:
-                    cached = base.inverse()
-                else:
-                    cached = inv ** (-exp)
-            self._powers[key] = cached
-        return cached
+        return (self.A if gen == "A" else self.B) ** exp
 
 
 def levelt_triple(f: IntPolynomial, g: IntPolynomial) -> MonodromyTriple:

@@ -279,6 +279,7 @@ BOUNDARY_CASES = [
     ("search --row 1:1 --data {dir}/data", 2, "polynomials must be distinct"),
     ("tables validate --data {dir}/data", 1, "1:1 "),
     ("tables validate --data {dir}/malformed", 2, "malformed dataset"),
+    ("search --row 9:9", 2, "cannot run search: no table row 9:9"),
 ]
 
 
@@ -293,6 +294,11 @@ def test_invalid_input_boundary(capsys, bad_inputs, command, want_code, want_tex
         assert want_text in err
     else:
         assert want_text in out
+
+
+def test_report_names_the_rejected_row(capsys, bad_inputs):
+    code, out, err = run(capsys, "report", "--data", str(bad_inputs / "data"))
+    assert (code, out, err) == (2, "", "cannot build report: row 1:1: polynomials must be distinct\n")
 
 
 ARGV_POOLS = {

@@ -46,17 +46,23 @@ def test_enumeration_is_shortlex_with_interleaved_exponents():
 
 def _oracle_first_hit(triple, max_len, max_exp):
     # Independent brute-force search: same order, direct matrix action.
+    # Returns the first hit, its e4-coefficient and the words explored.
     exps = [e for k in range(1, max_exp + 1) for e in (k, -k)]
+    powers = {}
+    explored = 0
     for length in range(1, max_len + 1):
         for first in ("A", "B"):
             for combo in itertools.product(exps, repeat=length):
                 gens = [("A", "B")[(("A", "B").index(first) + i) % 2] for i in range(length)]
+                explored += 1
                 image = triple.v
-                for gen, exp in reversed(list(zip(gens, combo))):
-                    image = triple.power(gen, exp).apply(image)
+                for letter in reversed(list(zip(gens, combo))):
+                    if letter not in powers:
+                        powers[letter] = triple.power(*letter)
+                    image = powers[letter].apply(image)
                 if image[3] != 0 and abs(image[3]) <= 2:
-                    return GroupWord(tuple(zip(gens, combo))), int(image[3])
-    return None, None
+                    return GroupWord(tuple(zip(gens, combo))), int(image[3]), explored
+    return None, None, explored
 
 
 def test_find_gamma_second_example(triple_for):
@@ -65,7 +71,7 @@ def test_find_gamma_second_example(triple_for):
     assert result.gamma == parse_word("A^4")
     assert result.e4_coeff == 1
     assert result.explored == 7
-    word, coeff = _oracle_first_hit(triple_for(3, 2), 1, 8)
+    word, coeff, _ = _oracle_first_hit(triple_for(3, 2), 1, 8)
     assert (word, coeff) == (result.gamma, result.e4_coeff)
 
 
@@ -89,7 +95,7 @@ def test_find_gamma_first_example_and_printed_conjugator(triple_for):
     triple = triple_for(3, 1)
     result = find_gamma(triple, 2, 8)
     assert result.status == STATUS_FOUND
-    oracle_word, oracle_coeff = _oracle_first_hit(triple, 2, 8)
+    oracle_word, oracle_coeff, _ = _oracle_first_hit(triple, 2, 8)
     assert result.gamma == oracle_word
     assert result.e4_coeff == oracle_coeff
     # The conjugator used by the published certificate also satisfies the
@@ -113,6 +119,31 @@ def test_find_gamma_exhausted(triple_for):
     assert result.explored == 2 * 16 + 2 * 16 * 16
 
 
+@pytest.mark.parametrize("max_len, max_exp", [(2, 4), (3, 2)])
+def test_find_gamma_matches_oracle_on_every_row(rows, triple_for, max_len, max_exp):
+    total = sum(2 * (2 * max_exp) ** length for length in range(1, max_len + 1))
+    for row in rows:
+        triple = triple_for(row.table_id, row.row_no)
+        result = find_gamma(triple, max_len, max_exp)
+        if result.status == STATUS_OBSTRUCTED:
+            assert gcd_obstruction(triple) >= 3
+            continue
+        word, coeff, explored = _oracle_first_hit(triple, max_len, max_exp)
+        assert (result.gamma, result.e4_coeff, result.explored) == (word, coeff, explored), row
+        if result.status == STATUS_EXHAUSTED:
+            assert result.explored == total
+
+
+def test_find_gamma_progress_events_per_length(triple_for):
+    events = []
+    result = find_gamma(triple_for(4, 1), 2, 8, progress=events.append)
+    assert result.status == STATUS_EXHAUSTED
+    assert events == [
+        {"event": "depth", "length": 1, "explored": 0},
+        {"event": "depth", "length": 2, "explored": 32},
+    ]
+
+
 def test_find_gamma_rejects_bad_bounds(triple_for):
     with pytest.raises(ValueError):
         find_gamma(triple_for(3, 1), 0, 8)
@@ -122,10 +153,10 @@ def test_find_gamma_refuses_search_over_word_cap(triple_for, monkeypatch):
     # The length-5, exponent-8 sweep (2,236,960 words) is under the cap.
     assert find_gamma(triple_for(3, 2), 5, 8).status == STATUS_FOUND
 
-    def enumerate_nothing(max_len, max_exp):
-        raise AssertionError("enumerated words for a search over the cap")
+    def build_nothing(triple, max_exp):
+        raise AssertionError("built generator powers for a search over the cap")
 
-    monkeypatch.setattr(search_mod, "enumerate_words", enumerate_nothing)
+    monkeypatch.setattr(search_mod, "_power_table", build_nothing)
     for max_len, max_exp in ((1, 10 ** 8), (10 ** 9, 1), (6, 8)):
         with pytest.raises(ValueError, match="search limit"):
             find_gamma(triple_for(3, 2), max_len, max_exp)
